@@ -1,34 +1,27 @@
-"""Scaling — end-to-end linkage runtime vs workload size and workers.
+"""Scaling — end-to-end linkage runtime vs workload size.
 
 Not a table of the paper (which does not report runtimes), but the
 practical question for a pure-Python reproduction: how does the
-pipeline scale with the number of households, and how much does the
-parallel cached pre-matching engine buy?  The grid runs every workload
-size serially and with 2 and 4 worker processes, judges parallel and
-cache-bounded variants against the serial run through the differential
-harness (:mod:`repro.validation.differential`), measures the wall-clock
-overhead of inline invariant validation (``validate=True``), and prints
-the instrumentation profile of the largest serial run.
+pipeline scale with the number of households?  The grid runs every
+workload size, judges the validating variant against the plain run
+through the differential harness (:mod:`repro.validation.differential`),
+measures the wall-clock overhead of inline invariant validation
+(``validate=True``), and prints the instrumentation profile of the
+largest run.
 
 The group-stage grid (:func:`run_group_stage`) measures the §3.3–§3.4
 engine the same way: inverted-index candidate enumeration vs the
-brute-force |G_i| × |G_{i+1}| scan, and the serial vs parallel subgraph
-construction + scoring fan-out — both judged byte-identical through the
+brute-force |G_i| × |G_{i+1}| scan, judged byte-identical through the
 differential harness.
 
 ``--quick`` is the CI smoke entry point; with ``--check-baseline`` the
 run additionally compares its deterministic effort/effectiveness
 counters against the committed ``results/baseline_quick.json`` and fails
 on regressions beyond :data:`BASELINE_TOLERANCE`.
-
-Speedups depend on the machine: on a single-core box the worker pool is
-pure overhead, so the wall-clock-improvement assertion only applies when
-the machine actually has multiple cores.
 """
 
 import dataclasses
 import json
-import os
 import tempfile
 import time
 
@@ -60,8 +53,6 @@ from repro.instrumentation import (
 from repro.validation.differential import IDENTICAL, compare_results
 
 SIZES = (50, 100, 200)
-WORKER_COUNTS = (1, 2, 4)
-GROUP_WORKER_COUNTS = (2, 4)
 
 #: PR 6 acceptance floor: the vectorized kernel must evaluate candidate
 #: pairs at least this many times faster (µs/pair) than the per-pair
@@ -72,7 +63,7 @@ KERNEL_MIN_SPEEDUP = 10.0
 
 # -- benchmark-regression gate (--check-baseline) ------------------------------
 #
-# The quick smoke run is fully deterministic (fixed seed, serial, no
+# The quick smoke run is fully deterministic (fixed seed, no
 # wall-clock numbers), so its counters can be pinned.  The tolerance
 # absorbs legitimate small drift from algorithm tuning; anything beyond
 # it fails CI until the baseline is re-recorded (--record-baseline) with
@@ -106,58 +97,40 @@ def run_scaling():
     for size in SIZES:
         series = generate_pair(seed=BENCH_SEED, initial_households=size)
         old, new = series.datasets
-        serial_config = LinkageConfig(n_workers=1)
-        serial_result = None
-        serial_seconds = None
-        for workers in WORKER_COUNTS:
-            config = LinkageConfig(n_workers=workers)
-            start = time.perf_counter()
-            result = link_datasets(old, new, config)
-            elapsed = time.perf_counter() - start
-            if workers == 1:
-                serial_result = result
-                serial_seconds = elapsed
-                profile_report = result.profile.report(
-                    f"profile ({size} households, serial)"
-                )
-            else:
-                # The parallel engine must be a pure speed knob; the
-                # differential harness reuses the already-computed runs.
-                outcome = compare_results(
-                    f"serial-vs-parallel(n_workers={workers}, size={size})",
-                    IDENTICAL, serial_config, config, serial_result, result,
-                    check_diagnostics=True,
-                )
-                assert outcome.ok, outcome.report()
-            pruned = sum(
-                result.profile.value(counter)
-                for counter in (PAIRS_PRUNED_LENGTH, PAIRS_PRUNED_QGRAM,
-                                PAIRS_PRUNED_EARLY_EXIT)
+        config = LinkageConfig()
+        start = time.perf_counter()
+        plain_result = link_datasets(old, new, config)
+        elapsed = time.perf_counter() - start
+        profile_report = plain_result.profile.report(
+            f"profile ({size} households)"
+        )
+        pruned = sum(
+            plain_result.profile.value(counter)
+            for counter in (PAIRS_PRUNED_LENGTH, PAIRS_PRUNED_QGRAM,
+                            PAIRS_PRUNED_EARLY_EXIT)
+        )
+        rows.append(
+            (
+                size,
+                len(old) + len(new),
+                len(plain_result.record_mapping),
+                plain_result.profile.value(PAIRS_SCORED),
+                plain_result.profile.value(CACHE_HITS),
+                pruned,
+                elapsed,
             )
-            rows.append(
-                (
-                    size,
-                    len(old) + len(new),
-                    workers,
-                    len(result.record_mapping),
-                    result.profile.value(PAIRS_SCORED),
-                    result.profile.value(CACHE_HITS),
-                    pruned,
-                    elapsed,
-                    serial_seconds / elapsed,
-                )
-            )
-        # Inline invariant validation: same serial run with validate=True.
+        )
+        # Inline invariant validation: same run with validate=True.
         # Wall-clock noise between runs easily exceeds the validation
         # cost itself, so interleave two timed runs of each variant and
         # compare the minima instead of single measurements.
-        validating_config = dataclasses.replace(serial_config, validate=True)
+        validating_config = dataclasses.replace(config, validate=True)
         plain_times = []
         validated_times = []
         validated_result = None
         for _ in range(2):
             start = time.perf_counter()
-            link_datasets(old, new, serial_config)
+            link_datasets(old, new, config)
             plain_times.append(time.perf_counter() - start)
             start = time.perf_counter()
             validated_result = link_datasets(old, new, validating_config)
@@ -166,8 +139,8 @@ def run_scaling():
         validated_best = min(validated_times)
         outcome = compare_results(
             f"plain-vs-validated(size={size})",
-            IDENTICAL, serial_config, validating_config,
-            serial_result, validated_result,
+            IDENTICAL, config, validating_config,
+            plain_result, validated_result,
         )
         assert outcome.ok, outcome.report()
         validate_rows.append(
@@ -183,7 +156,7 @@ def run_scaling():
 
 
 def run_pruning(sizes=SIZES, backend="vectorized"):
-    """Serial filtering-on vs filtering-off runs per workload size.
+    """Filtering-on vs filtering-off runs per workload size.
 
     Judged IDENTICAL through the differential harness with diagnostics
     comparison off — the pruning engine legitimately changes scoring
@@ -196,12 +169,8 @@ def run_pruning(sizes=SIZES, backend="vectorized"):
     for size in sizes:
         series = generate_pair(seed=BENCH_SEED, initial_households=size)
         old, new = series.datasets
-        off_config = LinkageConfig(
-            n_workers=1, filtering=False, scoring_backend=backend
-        )
-        on_config = LinkageConfig(
-            n_workers=1, filtering=True, scoring_backend=backend
-        )
+        off_config = LinkageConfig(filtering=False, scoring_backend=backend)
+        on_config = LinkageConfig(filtering=True, scoring_backend=backend)
         start = time.perf_counter()
         off_result = link_datasets(old, new, off_config)
         off_seconds = time.perf_counter() - start
@@ -234,12 +203,11 @@ def run_pruning(sizes=SIZES, backend="vectorized"):
     return rows
 
 
-def run_group_stage(sizes=SIZES, workers=GROUP_WORKER_COUNTS,
-                    backend="vectorized"):
-    """Group-stage grid: indexed vs brute-force enumeration, serial vs
-    parallel subgraph construction + scoring, per workload size.
+def run_group_stage(sizes=SIZES, backend="vectorized"):
+    """Group-stage grid: indexed vs brute-force enumeration per workload
+    size.
 
-    Every variant is judged byte-identical to the serial indexed run
+    The brute-force run is judged byte-identical to the indexed run
     through the differential harness (mappings, round structure and
     scoring effort), so the grid doubles as the group-stage acceptance
     check while it measures.
@@ -248,9 +216,9 @@ def run_group_stage(sizes=SIZES, workers=GROUP_WORKER_COUNTS,
     for size in sizes:
         series = generate_pair(seed=BENCH_SEED, initial_households=size)
         old, new = series.datasets
-        indexed_config = LinkageConfig(n_workers=1, scoring_backend=backend)
+        indexed_config = LinkageConfig(scoring_backend=backend)
         brute_config = LinkageConfig(
-            n_workers=1, group_pair_indexing=False, scoring_backend=backend
+            group_pair_indexing=False, scoring_backend=backend
         )
         start = time.perf_counter()
         indexed_result = link_datasets(old, new, indexed_config)
@@ -265,21 +233,6 @@ def run_group_stage(sizes=SIZES, workers=GROUP_WORKER_COUNTS,
             check_diagnostics=True,
         )
         assert outcome.ok, outcome.report()
-        for count in workers:
-            parallel_config = dataclasses.replace(
-                indexed_config,
-                n_workers=count,
-                worker_chunk_size=64,
-                group_worker_chunk_size=8,
-            )
-            parallel_result = link_datasets(old, new, parallel_config)
-            outcome = compare_results(
-                f"group-serial-vs-parallel(n_workers={count}, size={size})",
-                IDENTICAL, indexed_config, parallel_config,
-                indexed_result, parallel_result,
-                check_diagnostics=True,
-            )
-            assert outcome.ok, outcome.report()
         profile = indexed_result.profile
         candidates = profile.value(GROUP_PAIRS_CANDIDATES)
         skipped = profile.value(GROUP_PAIRS_SKIPPED)
@@ -312,7 +265,7 @@ def run_kernel(sizes=SIZES, repeats=3):
       vectorized outcome is asserted bit-identical to the reference
       outcome while measuring.
     * **end-to-end wall clock** of ``scoring_backend="python"`` vs
-      ``"vectorized"`` (serial and 2 workers), each vectorized run judged
+      ``"vectorized"``, the vectorized run judged
       byte-identical — mappings, round structure *and* scoring effort —
       through the differential harness.
 
@@ -330,7 +283,7 @@ def run_kernel(sizes=SIZES, repeats=3):
         new_records = list(new.records.values())
 
         # -- microbench: the scoring hot path in isolation -------------
-        config = LinkageConfig(n_workers=1)
+        config = LinkageConfig()
         sim_func = config.build_sim_func()
         engine = config.build_candidate_filter(sim_func)
         start = time.perf_counter()
@@ -386,39 +339,31 @@ def run_kernel(sizes=SIZES, repeats=3):
         )
 
         # -- end to end: the backend knob through the whole pipeline ---
-        python_config = LinkageConfig(n_workers=1, scoring_backend="python")
+        python_config = LinkageConfig(scoring_backend="python")
         start = time.perf_counter()
         python_result = link_datasets(old, new, python_config)
         python_seconds = time.perf_counter() - start
-        for workers in (1, 2):
-            vec_config = LinkageConfig(
-                n_workers=workers, scoring_backend="vectorized"
+        vec_config = LinkageConfig(scoring_backend="vectorized")
+        start = time.perf_counter()
+        vec_result = link_datasets(old, new, vec_config)
+        vec_seconds = time.perf_counter() - start
+        outcome = compare_results(
+            f"vectorized-vs-python(size={size})",
+            IDENTICAL, python_config, vec_config,
+            python_result, vec_result,
+            check_diagnostics=True,
+        )
+        assert outcome.ok, outcome.report()
+        e2e_rows.append(
+            (
+                size,
+                python_seconds,
+                vec_seconds,
+                python_seconds / vec_seconds,
+                vec_result.profile.value(KERNEL_PAIRS),
+                vec_result.profile.value(KERNEL_BATCHES),
             )
-            if workers > 1:
-                vec_config = dataclasses.replace(
-                    vec_config, worker_chunk_size=64
-                )
-            start = time.perf_counter()
-            vec_result = link_datasets(old, new, vec_config)
-            vec_seconds = time.perf_counter() - start
-            outcome = compare_results(
-                f"vectorized-vs-python(n_workers={workers}, size={size})",
-                IDENTICAL, python_config, vec_config,
-                python_result, vec_result,
-                check_diagnostics=True,
-            )
-            assert outcome.ok, outcome.report()
-            e2e_rows.append(
-                (
-                    size,
-                    workers,
-                    python_seconds,
-                    vec_seconds,
-                    python_seconds / vec_seconds,
-                    vec_result.profile.value(KERNEL_PAIRS),
-                    vec_result.profile.value(KERNEL_BATCHES),
-                )
-            )
+        )
     return micro_rows, e2e_rows
 
 
@@ -437,19 +382,19 @@ def format_kernel_micro_table(rows):
 
 def format_kernel_e2e_table(rows):
     return format_table(
-        ["households", "workers", "python s", "vectorized s", "speedup",
+        ["households", "python s", "vectorized s", "speedup",
          "kernel pairs", "batches"],
         [
-            [str(size), str(workers), f"{py_s:.2f}", f"{vec_s:.2f}",
+            [str(size), f"{py_s:.2f}", f"{vec_s:.2f}",
              f"{speedup:.2f}x", str(pairs), str(batches)]
-            for size, workers, py_s, vec_s, speedup, pairs, batches in rows
+            for size, py_s, vec_s, speedup, pairs, batches in rows
         ],
         title="Scoring backend end to end: python vs vectorized",
     )
 
 
 def run_checkpoint_overhead(sizes=SIZES):
-    """Plain vs per-round-checkpointed serial runs per workload size.
+    """Plain vs per-round-checkpointed runs per workload size.
 
     Checkpointing must be observationally free (identical ledger hash —
     mappings, per-round statistics *and* effort counters) and cheap.
@@ -472,7 +417,7 @@ def run_checkpoint_overhead(sizes=SIZES):
     for size in sizes:
         series = generate_pair(seed=BENCH_SEED, initial_households=size)
         old, new = series.datasets
-        config = LinkageConfig(n_workers=1)
+        config = LinkageConfig()
         variants = []
         if size == sizes[-1]:
             variants = [
@@ -693,7 +638,7 @@ def test_kernel(benchmark):
     # The kernel absorbed the bulk pre-matching scoring in every
     # end-to-end vectorized run.
     for row in e2e_rows:
-        assert row[5] > 0 and row[6] > 0
+        assert row[4] > 0 and row[5] > 0
 
 
 def test_checkpoint_overhead(benchmark):
@@ -731,15 +676,14 @@ def test_checkpoint_overhead(benchmark):
 def test_scaling(benchmark):
     rows, validate_rows, profile_report = once(benchmark, run_scaling)
     table = format_table(
-        ["households", "records", "workers", "links", "scored", "cache hits",
-         "pruned", "seconds", "speedup"],
+        ["households", "records", "links", "scored", "cache hits",
+         "pruned", "seconds"],
         [
-            [str(size), str(records), str(workers), str(links), str(scored),
-             str(hits), str(pruned), f"{seconds:.2f}", f"{speedup:.2f}x"]
-            for size, records, workers, links, scored, hits, pruned,
-            seconds, speedup in rows
+            [str(size), str(records), str(links), str(scored),
+             str(hits), str(pruned), f"{seconds:.2f}"]
+            for size, records, links, scored, hits, pruned, seconds in rows
         ],
-        title="Scaling: linkage runtime by households x workers",
+        title="Scaling: linkage runtime by households",
     )
     validate_table = format_table(
         ["households", "plain s", "validated s", "overhead", "checks"],
@@ -748,7 +692,7 @@ def test_scaling(benchmark):
              f"{overhead * 100:+.1f}%", str(checks)]
             for size, plain, validated, overhead, checks in validate_rows
         ],
-        title="Inline validation (validate=True) overhead, serial runs",
+        title="Inline validation (validate=True) overhead",
     )
     write_result(
         "scaling.txt",
@@ -757,51 +701,34 @@ def test_scaling(benchmark):
 
     # Inline validation is a guard rail, not a second pipeline: on the
     # largest workload it must stay within a modest fraction of the
-    # plain serial run (measured ~2-5%; the bound absorbs timer noise).
+    # plain run (measured ~2-5%; the bound absorbs timer noise).
     largest_overhead = validate_rows[-1][3]
     assert largest_overhead < 0.10, (
         f"validate=True overhead {largest_overhead * 100:.1f}% exceeds 10% "
         f"on the largest workload"
     )
 
-    serial_rows = [row for row in rows if row[2] == 1]
-
     # Runtime grows with size but stays sub-cubic: quadrupling the
     # households must not blow up by more than ~25x.
-    smallest = serial_rows[0][7]
-    largest = serial_rows[-1][7]
+    smallest = rows[0][6]
+    largest = rows[-1][6]
     assert largest < max(25.0 * smallest, 30.0)
     # Links scale roughly with population.
-    assert serial_rows[-1][3] > serial_rows[0][3]
+    assert rows[-1][2] > rows[0][2]
 
     # The cross-round engines do the heavy lifting at every size: pairs
     # served without a fresh computation — score-cache hits plus pruning
     # decisions answered from cheap bounds — outnumber the actual
     # agg_sim evaluations.
-    for row in serial_rows:
-        assert row[5] + row[6] > row[4], (
+    for row in rows:
+        assert row[4] + row[5] > row[3], (
             "cache hits + pruned bounds should exceed pairs scored"
-        )
-
-    # Wall-clock improvement from workers is only observable on
-    # multi-core machines; on one core the pool is pure overhead.
-    if (os.cpu_count() or 1) >= 2:
-        largest_size = SIZES[-1]
-        serial_time = next(
-            row[7] for row in rows if row[0] == largest_size and row[2] == 1
-        )
-        best_parallel = min(
-            row[7] for row in rows if row[0] == largest_size and row[2] > 1
-        )
-        assert best_parallel < serial_time * 1.05, (
-            "parallel scoring should improve wall-clock time on the "
-            "largest workload"
         )
 
 
 def run_group_quick(backend="vectorized"):
-    """Group-stage smoke on the smallest workload: one serial indexed
-    run judged byte-identical to brute force, with its gated counters.
+    """Group-stage smoke on the smallest workload: one indexed run
+    judged byte-identical to brute force, with its gated counters.
 
     Returns ``(rows, counters)`` — the one-row group table and the
     deterministic counter dict fed to the baseline gate.  The gated
@@ -809,15 +736,11 @@ def run_group_quick(backend="vectorized"):
     to the effort accounting), so one committed baseline serves both
     scoring backends.
     """
-    rows = run_group_stage(
-        sizes=SIZES[:1], workers=GROUP_WORKER_COUNTS[:1], backend=backend
-    )
+    rows = run_group_stage(sizes=SIZES[:1], backend=backend)
     size = SIZES[0]
     series = generate_pair(seed=BENCH_SEED, initial_households=size)
     old, new = series.datasets
-    result = link_datasets(
-        old, new, LinkageConfig(n_workers=1, scoring_backend=backend)
-    )
+    result = link_datasets(old, new, LinkageConfig(scoring_backend=backend))
     return rows, quick_counters(result.profile)
 
 

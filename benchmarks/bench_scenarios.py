@@ -85,7 +85,7 @@ def run_matrix(households=FULL_HOUSEHOLDS, scenarios=MATRIX_SCENARIOS,
         old, new = series.datasets
         truth = series.ground_truth.record_mapping(old.year, new.year)
         for backend in matrix_backends():
-            config = LinkageConfig(n_workers=1, group_backend=backend)
+            config = LinkageConfig(group_backend=backend)
             start = time.perf_counter()
             result = link_datasets(old, new, config)
             elapsed = time.perf_counter() - start

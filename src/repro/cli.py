@@ -4,8 +4,7 @@ Usage (after ``pip install -e .``)::
 
     python -m repro.cli generate --out data/ --households 300 --snapshots 2
     python -m repro.cli link data/census_1871.csv data/census_1881.csv \
-        --records links_records.csv --groups links_groups.csv \
-        --workers 4 --profile
+        --records links_records.csv --groups links_groups.csv --profile
     python -m repro.cli link data/census_*.csv \
         --incremental --series-state state/   # rolling-series mode
     python -m repro.cli evaluate links_records.csv data/truth_records_1871_1881.csv
@@ -83,18 +82,13 @@ def _add_linkage_flags(parser: argparse.ArgumentParser) -> None:
 
     ``link`` and ``evolve`` must accept the same knobs: the series path
     of ``link`` and the whole of ``evolve`` used to silently run a
-    default ``LinkageConfig()``, dropping backend/worker flags — now
+    default ``LinkageConfig()``, dropping backend flags — now
     both thread one parsed config through :func:`analyse_series`.
     """
     parser.add_argument("--delta-high", type=float, default=0.7)
     parser.add_argument("--delta-low", type=float, default=0.5)
     parser.add_argument("--alpha", type=float, default=0.2)
     parser.add_argument("--beta", type=float, default=0.7)
-    parser.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for pair scoring (1 = serial, 0 = all cores); "
-        "output is identical for any value",
-    )
     parser.add_argument(
         "--profile", action="store_true",
         help="print per-stage timers, event counters and per-round "
@@ -173,7 +167,6 @@ def _linkage_config(args: argparse.Namespace, year_gap: int) -> LinkageConfig:
         alpha=args.alpha,
         beta=args.beta,
         year_gap=year_gap,
-        n_workers=args.workers,
         validate=args.validate,
         filtering=not args.no_filtering,
         scoring_backend=args.scoring_backend,

@@ -15,11 +15,6 @@ from .pipeline import (
     LinkageResult,
     link_datasets,
 )
-from .parallel import (
-    filter_and_score_chunked,
-    resolve_workers,
-    score_pairs_chunked,
-)
 from .prematching import PreMatchResult, prematching
 from .remaining import match_remaining
 from .simcache import SimilarityCache
@@ -58,9 +53,6 @@ __all__ = [
     "prematching",
     "match_remaining",
     "SimilarityCache",
-    "resolve_workers",
-    "score_pairs_chunked",
-    "filter_and_score_chunked",
     "aggregate_group_similarity",
     "average_record_similarity",
     "edge_similarity",

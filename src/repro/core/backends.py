@@ -319,9 +319,9 @@ class DefaultSubgraphBackend(GroupMatcherBackend):
     Eq. 4–7 scoring, Alg. 2 selection.
 
     This is the exact pre-refactor pipeline block — same stage names,
-    same parallel fan-out, same counters — so every golden, checkpoint
-    and differential fixture recorded before the backend protocol keeps
-    replaying byte-identically
+    same counters — so every golden, checkpoint and differential
+    fixture recorded before the backend protocol keeps replaying
+    byte-identically
     (``repro.validation.differential.backend_default_vs_protocol`` is
     the executable proof).
     """
@@ -334,7 +334,6 @@ class DefaultSubgraphBackend(GroupMatcherBackend):
 
     def match_round(self, ctx: GroupRoundContext) -> RoundOutcome:
         config = ctx.config
-        group_parallel = config.n_workers != 1
         with ctx.stage("subgraphs"):
             subgraphs = build_all_subgraphs(
                 ctx.prematch,
@@ -344,13 +343,6 @@ class DefaultSubgraphBackend(GroupMatcherBackend):
                 record_mapping=ctx.record_mapping,
                 instrumentation=ctx.instrumentation,
                 index=ctx.group_index,
-                n_workers=config.n_workers,
-                chunk_size=config.group_worker_chunk_size,
-                # Workers score their own subgraphs (g_sim, Eq. 4-7)
-                # so the fan-out covers construction and scoring in
-                # one round trip; the serial scoring stage below then
-                # re-derives the same numbers from cached pair sims.
-                score=group_parallel,
             )
         with ctx.stage("scoring"):
             score_subgraphs(subgraphs, ctx.prematch, config)

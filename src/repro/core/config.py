@@ -86,13 +86,6 @@ class LinkageConfig:
         Keep one-vertex common subgraphs with no matched edge.  Off by
         default: single shared members are handled by the remaining pass
         and surface as ``move`` patterns.
-    n_workers / worker_chunk_size:
-        Worker processes (and pairs per task) for bulk candidate-pair
-        scoring; ``n_workers=1`` is serial, ``0`` uses every core.
-        Output is byte-identical to serial for any worker count.  The
-        same setting fans out the group stage (subgraph construction and
-        ``g_sim`` scoring, §3.3–§3.4) in chunks of
-        ``group_worker_chunk_size``.
     group_pair_indexing:
         Enumerate candidate group pairs through the inverted
         record→household index (on by default) instead of the quadratic
@@ -145,13 +138,6 @@ class LinkageConfig:
     max_iterations: int = 50
     #: Skip blocking passes whose blocks exceed this many records (0 = off).
     max_block_size: int = 0
-    #: Worker processes for bulk candidate-pair scoring, the §3.2 hot
-    #: path: 1 = serial (the default), 0 = one worker per CPU core.
-    #: Results are merged deterministically, so all mappings are
-    #: identical to a serial run (see repro.core.parallel).
-    n_workers: int = 1
-    #: Candidate pairs per worker task when ``n_workers != 1``.
-    worker_chunk_size: int = 1024
     #: Enumerate candidate group pairs (§3.3) through the inverted
     #: record→household index instead of the quadratic cross-product
     #: scan.  The emitted pair set is identical either way (enforced by
@@ -159,10 +145,6 @@ class LinkageConfig:
     #: the enumeration cost changes.  Brute force exists as a reference
     #: and for the differential harness — leave this on.
     group_pair_indexing: bool = True
-    #: Group pairs per worker task when the subgraph/scoring stage runs
-    #: under ``n_workers != 1``.  Small grids stay serial: the pool only
-    #: spins up when more than one chunk's worth of group pairs exists.
-    group_worker_chunk_size: int = 32
     #: Selection conflict policy (§3.4): ``False`` rejects a popped
     #: subgraph that overlaps previously claimed records (the behaviour
     #: reproduced since the seed); ``True`` trims the consumed vertices,
@@ -249,12 +231,6 @@ class LinkageConfig:
             raise ValueError("delta_step must be positive")
         if self.year_gap <= 0:
             raise ValueError("year_gap must be positive")
-        if self.n_workers < 0:
-            raise ValueError("n_workers must be >= 0 (0 = one per core)")
-        if self.worker_chunk_size <= 0:
-            raise ValueError("worker_chunk_size must be positive")
-        if self.group_worker_chunk_size <= 0:
-            raise ValueError("group_worker_chunk_size must be positive")
         if self.max_lazy_cache_entries < 0:
             raise ValueError("max_lazy_cache_entries must be >= 0 (0 = off)")
         if self.checkpoint_every < 1:

@@ -203,8 +203,7 @@ class CandidateFilter:
     The engine is threshold-agnostic (δ is an argument of
     :meth:`evaluate`), so one instance serves the whole iterative
     schedule of Alg. 1; per-string length/gram statistics are memoised
-    across pairs and rounds.  Instances are cheap to pickle and are
-    shipped to scoring workers by :mod:`repro.core.parallel`.
+    across pairs and rounds.
     """
 
     def __init__(
@@ -440,8 +439,9 @@ def filter_pairs(
     candidate_filter: CandidateFilter,
     delta: float,
 ) -> List[PairOutcome]:
-    """Run the engine over a pair chunk (serial building block shared by
-    :func:`repro.core.parallel.filter_and_score_chunked` workers)."""
+    """Run the engine over a list of pairs, one outcome per pair in
+    order (the per-pair path of
+    :func:`repro.core.prematching.filter_and_score`)."""
     evaluate = candidate_filter.evaluate
     return [
         evaluate(old_index[old_id], new_index[new_id], delta)

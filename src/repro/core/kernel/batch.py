@@ -84,10 +84,7 @@ class BatchScoringKernel:
 
     Built once per run from the full record lists (every record the
     pipeline may ever pair), then handed chunks of ``(old_id, new_id)``
-    pairs.  The kernel is immutable after construction and picklable, so
-    :mod:`repro.core.parallel` ships it to worker processes through the
-    pool initializer exactly like the record indexes — under ``fork``
-    the encoded arrays are inherited copy-on-write, not serialized.
+    pairs.  The kernel is immutable after construction.
 
     Parameters
     ----------

@@ -41,9 +41,7 @@ Two tricks make the numbers land bit-identically to the scalar path:
   normalisation table are shared between the old and new dataset of one
   attribute, so cross-dataset comparisons reduce to integer equality.
 
-Arrays are plain numpy; the whole encoding is picklable and is shipped
-to scoring workers once per pool via the initializer, exactly like the
-record indexes in :mod:`repro.core.parallel`.
+Arrays are plain numpy.
 """
 
 from __future__ import annotations
@@ -105,13 +103,6 @@ class EncodedColumn:
     def n_distinct(self) -> int:
         """Distinct-value table size, including the dummy at code 0."""
         return len(self.values)
-
-    def __getstate__(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __setstate__(self, state):
-        for name, value in zip(self.__slots__, state):
-            setattr(self, name, value)
 
 
 class ColumnEncoder:

@@ -10,9 +10,9 @@ serves every stage that needs ``agg_sim`` (Eq. 3) — candidate pairs are
 scored at most once across the whole δ schedule, subsequent rounds only
 re-test cached values against the new threshold, and (when the remaining
 pass uses the main attribute weights) the final pass reuses the same
-scores.  Bulk scoring fans out over ``config.n_workers`` processes with
-deterministic merging, and an :class:`~repro.instrumentation.Instrumentation`
-collector times every stage (see ``result.profile``).
+scores.  Bulk scoring runs in sorted pair order, and an
+:class:`~repro.instrumentation.Instrumentation` collector times every
+stage (see ``result.profile``).
 """
 
 from __future__ import annotations
@@ -258,8 +258,7 @@ class IterativeGroupLinkage:
         # One batch scoring kernel for the whole schedule (``None`` =
         # python backend or no numpy): attribute columns of *all*
         # records are encoded once here, so every round's shrinking
-        # frontier just gathers rows from the same tables, and worker
-        # pools inherit the encoding through their initializer.  The
+        # frontier just gathers rows from the same tables.  The
         # kernel replays the pruning engine's exact FilteringConfig.
         with instrumentation.stage("kernel_encoding"):
             kernel = config.build_scoring_kernel(
@@ -349,8 +348,6 @@ class IterativeGroupLinkage:
                     cached_scores=cache,
                     cached_pairs=cached_pairs,
                     clustering=config.clustering,
-                    n_workers=config.n_workers,
-                    chunk_size=config.worker_chunk_size,
                     instrumentation=instrumentation,
                     candidate_filter=candidate_filter,
                     kernel=kernel,
@@ -488,8 +485,6 @@ class IterativeGroupLinkage:
                 config.max_normalised_age_difference,
                 config.remaining_ambiguity_margin,
                 cached_scores=shared_cache,
-                n_workers=config.n_workers,
-                chunk_size=config.worker_chunk_size,
                 instrumentation=instrumentation,
                 candidate_filter=remaining_filter,
                 kernel=remaining_kernel,

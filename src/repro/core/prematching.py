@@ -10,9 +10,8 @@ similarities.
 This is the pipeline's hot path: scores are δ-independent, so the
 iterative schedule of Alg. 1 shares one score store across all rounds
 (a plain dict or a bounded :class:`repro.core.simcache.SimilarityCache`),
-and the bulk scoring of still-unscored pairs can fan out over worker
-processes (:mod:`repro.core.parallel`) with results merged
-deterministically.
+and still-unscored pairs are bulk-scored in sorted order — through the
+batch kernel (:mod:`repro.core.kernel`) when one is given.
 """
 
 from __future__ import annotations
@@ -41,11 +40,8 @@ from .filtering import (
     PRUNED_LENGTH,
     PRUNED_QGRAM,
     CandidateFilter,
-)
-from .parallel import (
-    DEFAULT_CHUNK_SIZE,
-    filter_and_score_chunked,
-    score_pairs_chunked,
+    PairOutcome,
+    filter_pairs,
 )
 from .simcache import SimilarityCache
 
@@ -58,6 +54,56 @@ _PRUNE_COUNTERS = {
 
 #: Anything usable as the shared cross-round score store.
 ScoreStore = MutableMapping[Tuple[str, str], float]
+
+PairKey = Tuple[str, str]
+
+
+def score_pairs(
+    pairs: Sequence[PairKey],
+    old_index: Dict[str, PersonRecord],
+    new_index: Dict[str, PersonRecord],
+    sim_func: SimilarityFunction,
+    kernel=None,
+) -> Dict[PairKey, float]:
+    """``agg_sim`` (Eq. 3) for every pair, keyed in sorted pair order.
+
+    With a ``kernel`` (:class:`repro.core.kernel.BatchScoringKernel`,
+    built over supersets of both record lists) the pairs are scored in
+    one batch call; its scores are bit-identical to ``agg_sim``.
+    """
+    ordered = sorted(pairs)
+    if kernel is not None:
+        return dict(zip(ordered, kernel.agg_sim_chunk(ordered)))
+    return {
+        (old_id, new_id): sim_func.agg_sim(old_index[old_id], new_index[new_id])
+        for old_id, new_id in ordered
+    }
+
+
+def filter_and_score(
+    pairs: Sequence[PairKey],
+    old_index: Dict[str, PersonRecord],
+    new_index: Dict[str, PersonRecord],
+    candidate_filter: CandidateFilter,
+    delta: float,
+    kernel=None,
+) -> Dict[PairKey, PairOutcome]:
+    """Run the pruning engine over every pair, keyed in sorted pair order.
+
+    Each pair maps to a :class:`repro.core.filtering.PairOutcome`: the
+    exact ``agg_sim`` when the pair survived the filters, or a sub-δ
+    upper bound naming the filter that rejected it.  With a ``kernel``
+    the staged filters run as batch-wide masks
+    (:meth:`repro.core.kernel.BatchScoringKernel.evaluate_chunk`) —
+    same outcomes, kinds and bound values bit for bit.
+    """
+    ordered = sorted(pairs)
+    if kernel is not None:
+        return dict(zip(ordered, kernel.evaluate_chunk(ordered, delta)))
+    outcomes = filter_pairs(
+        ordered, old_index, new_index, candidate_filter, delta
+    )
+    return dict(zip(ordered, outcomes))
 
 
 @dataclass
@@ -133,8 +179,6 @@ def prematching(
     cached_scores: Optional[ScoreStore] = None,
     cached_pairs: Optional[Set[Tuple[str, str]]] = None,
     clustering: str = CONNECTED_COMPONENTS,
-    n_workers: int = 1,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
     instrumentation: Optional[Instrumentation] = None,
     candidate_filter: Optional[CandidateFilter] = None,
     kernel=None,
@@ -146,11 +190,9 @@ def prematching(
     not depend on δ, only the cut-off does.  ``cached_scores`` may be a
     plain dict or a :class:`~repro.core.simcache.SimilarityCache` (which
     additionally bounds lazily-added entries and tallies hits/misses).
-    Still-unscored pairs are bulk-scored, on ``n_workers`` processes when
-    ``n_workers != 1`` (:func:`repro.core.parallel.score_pairs_chunked`;
-    output is identical to serial).  ``clustering`` selects the strategy
-    of :mod:`repro.core.clustering` (the paper uses connected
-    components).
+    Still-unscored pairs are bulk-scored in sorted order
+    (:func:`score_pairs`).  ``clustering`` selects the strategy of
+    :mod:`repro.core.clustering` (the paper uses connected components).
 
     With a ``candidate_filter`` (:mod:`repro.core.filtering`), unscored
     pairs first pass the pruning engine: a pair whose similarity upper
@@ -196,8 +238,7 @@ def prematching(
         with timer:
             exact_scores = _filtered_bulk_scores(
                 candidate_pairs, scores, old_index, new_index, sim_func,
-                candidate_filter, n_workers, chunk_size, instrumentation,
-                kernel=kernel,
+                candidate_filter, instrumentation, kernel=kernel,
             )
         # A pruned pair's similarity is provably below δ, so restricting
         # the threshold test to exactly-scored pairs loses nothing.
@@ -209,16 +250,14 @@ def prematching(
         matched_scores = {pair: exact_scores[pair] for pair in matched}
     else:
         # Bulk-score whatever the store does not hold yet; sorted order
-        # keeps the parallel chunking (and any cache-miss tally)
-        # deterministic.
+        # keeps the cache-miss tally and pin order deterministic.
         unscored = [
             pair for pair in sorted(candidate_pairs)
             if scores.get(pair) is None
         ]
         if unscored:
-            fresh = score_pairs_chunked(
-                unscored, old_index, new_index, sim_func,
-                n_workers=n_workers, chunk_size=chunk_size, kernel=kernel,
+            fresh = score_pairs(
+                unscored, old_index, new_index, sim_func, kernel=kernel
             )
             if isinstance(scores, SimilarityCache):
                 # Candidate-pair scores are re-tested every round: pin them.
@@ -272,8 +311,6 @@ def _filtered_bulk_scores(
     new_index: Dict[str, PersonRecord],
     sim_func: SimilarityFunction,
     candidate_filter: CandidateFilter,
-    n_workers: int,
-    chunk_size: int,
     instrumentation: Optional[Instrumentation],
     kernel=None,
 ) -> Dict[Tuple[str, str], float]:
@@ -287,8 +324,7 @@ def _filtered_bulk_scores(
     2. a cached pruning bound still below δ − margin — the pair stays
        pruned without recomputing anything (counted under the filter that
        set the bound);
-    3. everything else runs through
-       :func:`repro.core.parallel.filter_and_score_chunked`: survivors
+    3. everything else runs through :func:`filter_and_score`: survivors
        are stored exactly (pinned in a
        :class:`~repro.core.simcache.SimilarityCache`), rejects record
        their fresh bound for later rounds.
@@ -314,9 +350,9 @@ def _filtered_bulk_scores(
         to_evaluate.append(pair)
 
     if to_evaluate:
-        outcomes = filter_and_score_chunked(
+        outcomes = filter_and_score(
             to_evaluate, old_index, new_index, candidate_filter, delta,
-            n_workers=n_workers, chunk_size=chunk_size, kernel=kernel,
+            kernel=kernel,
         )
         if instrumentation is not None and kernel is not None:
             instrumentation.count(KERNEL_BATCHES)

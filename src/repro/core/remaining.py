@@ -8,8 +8,8 @@ with a hard temporal age filter, resolved greedily to a 1:1 mapping.
 When ``Sim_func_rem`` uses the same attribute weights as the main
 ``Sim_func`` (the default), the pipeline shares its cross-round score
 store with this pass, so pairs already scored during pre-matching are
-looked up instead of recomputed; fresh pairs are bulk-scored, optionally
-on worker processes.
+looked up instead of recomputed; fresh pairs are bulk-scored in sorted
+order.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ from ..model.records import PersonRecord
 from ..similarity.numeric import normalised_age_difference
 from ..similarity.vector import SimilarityFunction
 from .filtering import CandidateFilter
-from .parallel import DEFAULT_CHUNK_SIZE, score_pairs_chunked
-from .prematching import ScoreStore, _filtered_bulk_scores
+from .prematching import ScoreStore, _filtered_bulk_scores, score_pairs
 from .simcache import SimilarityCache
 
 
@@ -45,8 +44,6 @@ def match_remaining(
     max_normalised_age_difference: float = 3.0,
     ambiguity_margin: float = 0.0,
     cached_scores: Optional[ScoreStore] = None,
-    n_workers: int = 1,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
     instrumentation: Optional[Instrumentation] = None,
     candidate_filter: Optional[CandidateFilter] = None,
     kernel=None,
@@ -64,8 +61,8 @@ def match_remaining(
     the run; it is only sound to pass when the earlier scores came from a
     similarity function with identical weights and missing policy (the
     threshold does not enter ``agg_sim``).  Unscored age-plausible pairs
-    are bulk-scored via :func:`repro.core.parallel.score_pairs_chunked`
-    with ``n_workers``/``chunk_size``, deterministically.
+    are bulk-scored via :func:`repro.core.prematching.score_pairs`, in
+    sorted pair order.
 
     With ``ambiguity_margin > 0`` a pair is linked only when its score
     beats every competing candidate of *both* endpoints by the margin:
@@ -103,15 +100,13 @@ def match_remaining(
         # skipping the full evaluation cannot change the mapping.
         exact_scores = _filtered_bulk_scores(
             set(plausible), scores, old_index, new_index, sim_func_rem,
-            candidate_filter, n_workers, chunk_size, instrumentation,
-            kernel=kernel,
+            candidate_filter, instrumentation, kernel=kernel,
         )
     else:
         unscored = [pair for pair in plausible if scores.get(pair) is None]
         if unscored:
-            fresh = score_pairs_chunked(
-                unscored, old_index, new_index, sim_func_rem,
-                n_workers=n_workers, chunk_size=chunk_size, kernel=kernel,
+            fresh = score_pairs(
+                unscored, old_index, new_index, sim_func_rem, kernel=kernel
             )
             if isinstance(scores, SimilarityCache):
                 for pair, score in fresh.items():

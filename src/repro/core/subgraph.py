@@ -445,9 +445,6 @@ def build_all_subgraphs(
     record_mapping: Optional["RecordMapping"] = None,
     instrumentation: Optional[Instrumentation] = None,
     index: Optional[GroupPairIndex] = None,
-    n_workers: int = 1,
-    chunk_size: int = 32,
-    score: bool = False,
 ) -> List[SubgraphMatch]:
     """``subgroups`` of Alg. 1 (line 7, §3.3): common subgraphs of all
     candidate group pairs.
@@ -457,13 +454,9 @@ def build_all_subgraphs(
     ``index`` is a prebuilt :class:`GroupPairIndex`; one is built on the
     fly when omitted, and the brute-force scan is used instead when
     ``config.group_pair_indexing`` is off (same candidate set, counted
-    differently).  With ``n_workers != 1`` the per-pair work —
-    ``build_subgraph`` and, when ``score`` is set, Eq. 4–7 scoring — fans
-    out over worker chunks via :mod:`repro.core.parallel`; chunks merge
-    in order, and pair similarities computed inside workers are folded
-    back into the shared score store exactly as a serial run would have
-    recorded them, so the subgraph list, every score field and the
-    ``pairs_scored`` tally are byte-identical to serial.
+    differently).  Subgraphs come back in candidate-pair order; vertex
+    pair similarities missing from the score store are computed lazily
+    through ``prematch.pair_sim``.
 
     ``instrumentation`` (optional) tallies the candidate pairs emitted,
     the cross-product pairs the index skipped and the non-empty
@@ -484,52 +477,21 @@ def build_all_subgraphs(
         instrumentation.count(GROUP_PAIRS_CANDIDATES, len(group_pairs))
         instrumentation.count(GROUP_PAIRS_SKIPPED, skipped)
 
-    tasks = [
-        (
-            old_group_id,
-            new_group_id,
-            _anchors_for_pair(
-                old_households[old_group_id],
-                new_households[new_group_id],
-                record_mapping,
-            ),
-        )
-        for old_group_id, new_group_id in group_pairs
-    ]
-
-    # Imported lazily: scoring and parallel import this module.
-    from .parallel import build_subgraphs_chunked, resolve_workers
-
-    if resolve_workers(n_workers) > 1 and len(tasks) > chunk_size:
-        subgraphs = build_subgraphs_chunked(
-            tasks,
-            old_households,
-            new_households,
+    subgraphs = []
+    for old_group_id, new_group_id in group_pairs:
+        old_household = old_households[old_group_id]
+        new_household = new_households[new_group_id]
+        subgraph = build_subgraph(
+            old_household,
+            new_household,
             prematch,
             config,
-            n_workers=n_workers,
-            chunk_size=chunk_size,
-            score=score,
-            # Lazy pair_sim computations count through the same collector
-            # a serial run would use (PreMatchResult.pair_sim).
-            instrumentation=prematch.instrumentation or instrumentation,
+            anchors=_anchors_for_pair(
+                old_household, new_household, record_mapping
+            ),
         )
-    else:
-        if score:
-            from .scoring import score_subgraph
-        subgraphs = []
-        for old_group_id, new_group_id, anchors in tasks:
-            subgraph = build_subgraph(
-                old_households[old_group_id],
-                new_households[new_group_id],
-                prematch,
-                config,
-                anchors=anchors,
-            )
-            if subgraph is not None:
-                if score:
-                    score_subgraph(subgraph, prematch, config)
-                subgraphs.append(subgraph)
+        if subgraph is not None:
+            subgraphs.append(subgraph)
     if instrumentation is not None:
         instrumentation.count(SUBGRAPHS_BUILT, len(subgraphs))
     return subgraphs

@@ -93,7 +93,7 @@ class RecordMapping:
 
         Every serialization path (CSV, golden fixtures, diffs) goes
         through the sorted order, so output is byte-stable regardless of
-        insertion order, hash seed, Python version or worker count.
+        insertion order, hash seed or Python version.
         """
         return [[old_id, new_id] for old_id, new_id in self.pairs()]
 

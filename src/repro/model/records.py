@@ -58,7 +58,7 @@ class PersonRecord:
         if self.age is not None and self.age < 0:
             raise ValueError(f"age must be non-negative, got {self.age}")
         if self.role not in roles_mod.ALL_ROLES:
-            raise ValueError(f"unknown role {self.role!r}")
+            raise ValueError(f"role {self.role!r} is not a known role")
 
     def get(self, attribute: str) -> Any:
         """Return an attribute value by name (``None`` when missing)."""

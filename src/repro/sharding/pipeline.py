@@ -706,8 +706,6 @@ def _shard_round(
             cached_scores=context.cache,
             cached_pairs=context.cached_pairs,
             clustering=config.clustering,
-            n_workers=config.n_workers,
-            chunk_size=config.worker_chunk_size,
             instrumentation=instrumentation,
             candidate_filter=context.candidate_filter,
             kernel=kernel,
@@ -782,8 +780,6 @@ def _shard_remaining(
         config.max_normalised_age_difference,
         config.remaining_ambiguity_margin,
         cached_scores=shared_cache,
-        n_workers=config.n_workers,
-        chunk_size=config.worker_chunk_size,
         instrumentation=instrumentation,
         candidate_filter=remaining_filter,
         kernel=kernel,

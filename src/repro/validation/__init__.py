@@ -12,7 +12,7 @@ Three complementary correctness tools for the linkage pipeline:
   ``repro golden --check`` and the tier-1 suite;
 * :mod:`repro.validation.differential` — a runner that executes the
   pipeline under two configurations and asserts declared equivalences
-  (serial == parallel, cache-bounded == unbounded, cross-product
+  (cache-bounded == unbounded, vectorized == python scoring, cross-product
   blocking ⊇ standard blocking).
 """
 
@@ -25,7 +25,6 @@ from .differential import (
     cache_bounded_vs_unbounded,
     incremental_vs_scratch,
     run_differential,
-    serial_vs_parallel,
     service_vs_inprocess,
     sharded_vs_unsharded,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "cache_bounded_vs_unbounded",
     "incremental_vs_scratch",
     "run_differential",
-    "serial_vs_parallel",
     "service_vs_inprocess",
     "sharded_vs_unsharded",
     "DEFAULT_SPECS",

@@ -3,15 +3,13 @@
 Several configuration knobs are documented as *pure speed/scale knobs*
 that must not change the output:
 
-* ``n_workers`` — parallel scoring is byte-identical to serial
-  (:mod:`repro.core.parallel`);
 * ``max_lazy_cache_entries`` — evicted similarity-cache entries are
   recomputed to the same value, so a bounded cache equals an unbounded
   one (:mod:`repro.core.simcache`);
 * ``filtering`` — the candidate-pruning engine only rejects pairs whose
   similarity upper bound proves they cannot reach the round's δ, so a
   filtered run's mappings are byte-identical to an unfiltered run's
-  (:mod:`repro.core.filtering`), serial and parallel alike;
+  (:mod:`repro.core.filtering`);
 * ``group_pair_indexing`` — the inverted record→household index emits
   exactly the candidate group pairs the brute-force |G_i| × |G_{i+1}|
   scan keeps (:mod:`repro.core.subgraph`), so indexed and brute-force
@@ -19,8 +17,8 @@ that must not change the output:
 * ``scoring_backend`` — the vectorized batch kernel
   (:mod:`repro.core.kernel`) replays the reference comparators'
   float operations in the same order on whole candidate chunks, so
-  ``vectorized`` runs are bit-identical to ``python`` runs, serial and
-  parallel alike, down to the scoring effort (see ``docs/KERNEL.md``);
+  ``vectorized`` runs are bit-identical to ``python`` runs down to the
+  scoring effort (see ``docs/KERNEL.md``);
 
 one is a declared *pure memory-layout* knob:
 
@@ -173,7 +171,8 @@ def compare_results(
 
     ``check_diagnostics`` additionally requires identical round structure
     and scoring effort (iteration count and pairs scored) — appropriate
-    for knobs like ``n_workers`` that claim to change *nothing at all*.
+    for knobs like ``scoring_backend`` that claim to change *nothing at
+    all*.
     """
     record_diff = _diff_pairs(
         "record link",
@@ -225,8 +224,8 @@ def run_differential(
     """Execute the pipeline under two configs and judge the relation.
 
     ``base_result`` (optional) reuses an already-computed base run —
-    callers sweeping several variants against one base (e.g.
-    :func:`serial_vs_parallel` over worker counts) link the base once.
+    callers sweeping several variants against one base link the base
+    once.
     """
     if base_result is None:
         base_result = link_datasets(old_dataset, new_dataset, base_config)
@@ -243,41 +242,6 @@ def run_differential(
 
 
 # -- declared equivalences ---------------------------------------------------
-
-
-def serial_vs_parallel(
-    old_dataset: CensusDataset,
-    new_dataset: CensusDataset,
-    config: Optional[LinkageConfig] = None,
-    workers: Sequence[int] = (2, 4),
-) -> List[DifferentialOutcome]:
-    """Serial output is identical for every worker count (PR 1 promise)."""
-    config = config or LinkageConfig()
-    base_config = dataclasses.replace(config, n_workers=1)
-    base_result = link_datasets(old_dataset, new_dataset, base_config)
-    outcomes = []
-    for count in workers:
-        variant = dataclasses.replace(
-            config,
-            n_workers=count,
-            worker_chunk_size=64,
-            # Small enough that the group stage (§3.3–§3.4) genuinely
-            # fans out on test-sized data instead of staying serial.
-            group_worker_chunk_size=4,
-        )
-        outcomes.append(
-            run_differential(
-                old_dataset,
-                new_dataset,
-                base_config,
-                variant,
-                relation=IDENTICAL,
-                name=f"serial-vs-parallel(n_workers={count})",
-                check_diagnostics=True,
-                base_result=base_result,
-            )
-        )
-    return outcomes
 
 
 def cache_bounded_vs_unbounded(
@@ -306,35 +270,22 @@ def filtering_on_vs_off(
     old_dataset: CensusDataset,
     new_dataset: CensusDataset,
     config: Optional[LinkageConfig] = None,
-    workers: Sequence[int] = (1, 2),
-) -> List[DifferentialOutcome]:
-    """Candidate pruning is lossless: on == off, serial and parallel.
+) -> DifferentialOutcome:
+    """Candidate pruning is lossless: on == off.
 
-    The unfiltered serial run is the base; each variant enables the
-    pruning engine at one worker count.  ``check_diagnostics`` stays off
-    on purpose — pruning exists to *change* the scoring effort
-    (``pairs_scored`` drops), only the mappings must be byte-identical.
+    ``check_diagnostics`` stays off on purpose — pruning exists to
+    *change* the scoring effort (``pairs_scored`` drops), only the
+    mappings must be byte-identical.
     """
     config = config or LinkageConfig()
-    base_config = dataclasses.replace(config, filtering=False, n_workers=1)
-    base_result = link_datasets(old_dataset, new_dataset, base_config)
-    outcomes = []
-    for count in workers:
-        variant = dataclasses.replace(config, filtering=True, n_workers=count)
-        if count > 1:
-            variant = dataclasses.replace(variant, worker_chunk_size=64)
-        outcomes.append(
-            run_differential(
-                old_dataset,
-                new_dataset,
-                base_config,
-                variant,
-                relation=IDENTICAL,
-                name=f"filtering-off-vs-on(n_workers={count})",
-                base_result=base_result,
-            )
-        )
-    return outcomes
+    return run_differential(
+        old_dataset,
+        new_dataset,
+        dataclasses.replace(config, filtering=False),
+        dataclasses.replace(config, filtering=True),
+        relation=IDENTICAL,
+        name="filtering-off-vs-on",
+    )
 
 
 def indexed_vs_brute_force(
@@ -367,17 +318,16 @@ def vectorized_vs_python(
     old_dataset: CensusDataset,
     new_dataset: CensusDataset,
     config: Optional[LinkageConfig] = None,
-    workers: Sequence[int] = (1, 2),
-) -> List[DifferentialOutcome]:
+) -> DifferentialOutcome:
     """The batch scoring kernel equals the per-pair reference backend.
 
-    The ``python`` serial run is the base; each variant scores with the
-    vectorized kernel at one worker count.  ``check_diagnostics`` is on:
-    the kernel replays the reference float-operation order exactly
-    (``docs/KERNEL.md``), so the δ rounds, the mappings *and* the scoring
-    effort must all be byte-identical — the kernel only changes how many
-    Python-level calls that effort costs (``kernel_batches`` /
-    ``kernel_pairs`` count the batched share).
+    The ``python`` run is the base, the vectorized kernel the variant.
+    ``check_diagnostics`` is on: the kernel replays the reference
+    float-operation order exactly (``docs/KERNEL.md``), so the δ rounds,
+    the mappings *and* the scoring effort must all be byte-identical —
+    the kernel only changes how many Python-level calls that effort
+    costs (``kernel_batches`` / ``kernel_pairs`` count the batched
+    share).
 
     Skipped gracefully when numpy is absent: ``build_scoring_kernel``
     then returns ``None`` and both configs take the same per-pair path,
@@ -385,30 +335,15 @@ def vectorized_vs_python(
     it, proving the fallback is lossless too.
     """
     config = config or LinkageConfig()
-    base_config = dataclasses.replace(
-        config, scoring_backend="python", n_workers=1
+    return run_differential(
+        old_dataset,
+        new_dataset,
+        dataclasses.replace(config, scoring_backend="python"),
+        dataclasses.replace(config, scoring_backend="vectorized"),
+        relation=IDENTICAL,
+        name="vectorized-vs-python",
+        check_diagnostics=True,
     )
-    base_result = link_datasets(old_dataset, new_dataset, base_config)
-    outcomes = []
-    for count in workers:
-        variant = dataclasses.replace(
-            config, scoring_backend="vectorized", n_workers=count
-        )
-        if count > 1:
-            variant = dataclasses.replace(variant, worker_chunk_size=64)
-        outcomes.append(
-            run_differential(
-                old_dataset,
-                new_dataset,
-                base_config,
-                variant,
-                relation=IDENTICAL,
-                name=f"vectorized-vs-python(n_workers={count})",
-                check_diagnostics=True,
-                base_result=base_result,
-            )
-        )
-    return outcomes
 
 
 class _PreRefactorReferenceBackend:
@@ -417,12 +352,12 @@ class _PreRefactorReferenceBackend:
 
     This is a frozen verbatim copy of the pre-refactor per-round block —
     ``build_all_subgraphs`` → ``score_subgraphs`` →
-    ``select_group_matches`` with the original argument set, stage names
-    and parallel fan-out — kept *here*, outside ``repro.core.backends``,
-    so that a future edit to the default backend cannot silently edit
-    its own reference.  :func:`backend_default_vs_protocol` runs it
-    against the registered default backend and requires byte-identical
-    mappings and effort counters, serial and parallel.
+    ``select_group_matches`` with the original argument set and stage
+    names — kept *here*, outside ``repro.core.backends``, so that a
+    future edit to the default backend cannot silently edit its own
+    reference.  :func:`backend_default_vs_protocol` runs it against the
+    registered default backend and requires byte-identical mappings and
+    effort counters.
     """
 
     name = "prerefactor-reference"
@@ -442,7 +377,6 @@ class _PreRefactorReferenceBackend:
         from ..core.subgraph import build_all_subgraphs
 
         config = ctx.config
-        group_parallel = config.n_workers != 1
         with ctx.stage("subgraphs"):
             subgraphs = build_all_subgraphs(
                 ctx.prematch,
@@ -452,9 +386,6 @@ class _PreRefactorReferenceBackend:
                 record_mapping=ctx.record_mapping,
                 instrumentation=ctx.instrumentation,
                 index=ctx.group_index,
-                n_workers=config.n_workers,
-                chunk_size=config.group_worker_chunk_size,
-                score=group_parallel,
             )
         with ctx.stage("scoring"):
             score_subgraphs(subgraphs, ctx.prematch, config)
@@ -482,57 +413,27 @@ def backend_default_vs_protocol(
     old_dataset: CensusDataset,
     new_dataset: CensusDataset,
     config: Optional[LinkageConfig] = None,
-    workers: Sequence[int] = (1, 2),
-) -> List[DifferentialOutcome]:
+) -> DifferentialOutcome:
     """The refactored default backend is byte-identical to the
-    pre-refactor engine — mappings *and* counters, serial and parallel.
+    pre-refactor engine — mappings *and* counters.
 
     The base runs the group stage through the registered ``default``
-    backend (the post-protocol code path); each variant runs the frozen
-    pre-refactor copy above at one worker count.  ``check_diagnostics``
-    is on: the protocol introduced only a dispatch seam, so δ rounds,
-    mappings and scoring effort must all match exactly.
+    backend (the post-protocol code path); the variant runs the frozen
+    pre-refactor copy above.  ``check_diagnostics`` is on: the protocol
+    introduced only a dispatch seam, so δ rounds, mappings and scoring
+    effort must all match exactly.
     """
     config = config or LinkageConfig()
     reference = _ensure_reference_backend()
-    base_config = dataclasses.replace(
-        config, group_backend="default", n_workers=1
+    return run_differential(
+        old_dataset,
+        new_dataset,
+        dataclasses.replace(config, group_backend="default"),
+        dataclasses.replace(config, group_backend=reference),
+        relation=IDENTICAL,
+        name="backend-default-vs-protocol",
+        check_diagnostics=True,
     )
-    base_result = link_datasets(old_dataset, new_dataset, base_config)
-    outcomes = []
-    for count in workers:
-        variant = dataclasses.replace(
-            config, group_backend=reference, n_workers=count
-        )
-        if count > 1:
-            variant = dataclasses.replace(
-                variant, worker_chunk_size=64, group_worker_chunk_size=4
-            )
-        base = base_config
-        use_base_result = base_result
-        if count > 1:
-            # Parallel-vs-parallel: re-run the default backend at the
-            # same worker count so the only difference is the dispatch.
-            base = dataclasses.replace(
-                base_config,
-                n_workers=count,
-                worker_chunk_size=64,
-                group_worker_chunk_size=4,
-            )
-            use_base_result = None
-        outcomes.append(
-            run_differential(
-                old_dataset,
-                new_dataset,
-                base,
-                variant,
-                relation=IDENTICAL,
-                name=f"backend-default-vs-protocol(n_workers={count})",
-                check_diagnostics=True,
-                base_result=use_base_result,
-            )
-        )
-    return outcomes
 
 
 def _analysis_mapping_pairs(analysis) -> Tuple[List[Tuple[str, str]], List[Tuple[str, str]]]:
@@ -580,12 +481,11 @@ def _compare_analyses(
 def incremental_vs_scratch(
     series: Sequence[CensusDataset],
     config: Optional[LinkageConfig] = None,
-    workers: Sequence[int] = (1, 2),
 ) -> List[DifferentialOutcome]:
     """Incremental series re-linkage is decision-identical to from-scratch
     across every arrival sequence (ROADMAP item 5 promise).
 
-    Per worker count, against a from-scratch ``analyse_series`` baseline:
+    Against a from-scratch ``analyse_series`` baseline:
 
     * **cold** — first incremental run into an empty series-state store;
     * **no-op** — immediate re-run over the warm store; additionally
@@ -614,87 +514,64 @@ def incremental_vs_scratch(
     datasets = list(series)
     num_pairs = len(datasets) - 1
     outcomes: List[DifferentialOutcome] = []
-    for count in workers:
-        run_config = dataclasses.replace(config, n_workers=count)
-        if count > 1:
-            run_config = dataclasses.replace(
-                run_config, worker_chunk_size=64, group_worker_chunk_size=4
+    scratch = analyse_series(datasets, config=config)
+    with tempfile.TemporaryDirectory(prefix="differential-series-") as state_dir:
+        cold = analyse_series(datasets, config=config, series_state=state_dir)
+        outcomes.append(
+            _compare_analyses(
+                "incremental-vs-scratch(cold)", config, scratch, cold
             )
-        scratch = analyse_series(datasets, config=run_config)
-        with tempfile.TemporaryDirectory(
-            prefix="differential-series-"
-        ) as state_dir:
-            cold = analyse_series(
-                datasets, config=run_config, series_state=state_dir
+        )
+        noop = analyse_series(datasets, config=config, series_state=state_dir)
+        outcome = _compare_analyses(
+            "incremental-vs-scratch(no-op)", config, scratch, noop
+        )
+        rescored = noop.profile.value(PAIRS_RESCORED)
+        if rescored:
+            outcome.notes.append(
+                f"no-op re-run re-scored {rescored} pairs (expected 0)"
             )
-            outcomes.append(
-                _compare_analyses(
-                    f"incremental-vs-scratch(cold,n_workers={count})",
-                    run_config,
-                    scratch,
-                    cold,
+        reused = noop.profile.value(SERIES_PAIRS_REUSED)
+        if reused != num_pairs:
+            outcome.notes.append(
+                f"no-op re-run reused {reused} of {num_pairs} pairs"
+            )
+        outcomes.append(outcome)
+        if len(datasets) >= 3:
+            with tempfile.TemporaryDirectory(
+                prefix="differential-series-append-"
+            ) as append_dir:
+                analyse_series(
+                    datasets[:-1], config=config, series_state=append_dir
                 )
-            )
-            noop = analyse_series(
-                datasets, config=run_config, series_state=state_dir
-            )
+                appended = analyse_series(
+                    datasets, config=config, series_state=append_dir
+                )
             outcome = _compare_analyses(
-                f"incremental-vs-scratch(no-op,n_workers={count})",
-                run_config,
-                scratch,
-                noop,
+                "incremental-vs-scratch(append)", config, scratch, appended
             )
-            rescored = noop.profile.value(PAIRS_RESCORED)
-            if rescored:
+            reused = appended.profile.value(SERIES_PAIRS_REUSED)
+            if reused != num_pairs - 1:
                 outcome.notes.append(
-                    f"no-op re-run re-scored {rescored} pairs (expected 0)"
-                )
-            reused = noop.profile.value(SERIES_PAIRS_REUSED)
-            if reused != num_pairs:
-                outcome.notes.append(
-                    f"no-op re-run reused {reused} of {num_pairs} pairs"
+                    f"append arrival reused {reused} of "
+                    f"{num_pairs - 1} prefix pairs"
                 )
             outcomes.append(outcome)
-            if len(datasets) >= 3:
-                with tempfile.TemporaryDirectory(
-                    prefix="differential-series-append-"
-                ) as append_dir:
-                    analyse_series(
-                        datasets[:-1],
-                        config=run_config,
-                        series_state=append_dir,
-                    )
-                    appended = analyse_series(
-                        datasets, config=run_config, series_state=append_dir
-                    )
-                outcome = _compare_analyses(
-                    f"incremental-vs-scratch(append,n_workers={count})",
-                    run_config,
-                    scratch,
-                    appended,
-                )
-                reused = appended.profile.value(SERIES_PAIRS_REUSED)
-                if reused != num_pairs - 1:
-                    outcome.notes.append(
-                        f"append arrival reused {reused} of "
-                        f"{num_pairs - 1} prefix pairs"
-                    )
-                outcomes.append(outcome)
-            revised = list(datasets)
-            middle = len(revised) // 2
-            revised[middle] = revise_middle_record(revised[middle])
-            scratch_revised = analyse_series(revised, config=run_config)
-            incremental_revised = analyse_series(
-                revised, config=run_config, series_state=state_dir
+        revised = list(datasets)
+        middle = len(revised) // 2
+        revised[middle] = revise_middle_record(revised[middle])
+        scratch_revised = analyse_series(revised, config=config)
+        incremental_revised = analyse_series(
+            revised, config=config, series_state=state_dir
+        )
+        outcomes.append(
+            _compare_analyses(
+                "incremental-vs-scratch(revise)",
+                config,
+                scratch_revised,
+                incremental_revised,
             )
-            outcomes.append(
-                _compare_analyses(
-                    f"incremental-vs-scratch(revise,n_workers={count})",
-                    run_config,
-                    scratch_revised,
-                    incremental_revised,
-                )
-            )
+        )
     return outcomes
 
 
@@ -703,55 +580,43 @@ def sharded_vs_unsharded(
     new_dataset: CensusDataset,
     config: Optional[LinkageConfig] = None,
     shards: Sequence[int] = (1, 4),
-    workers: Sequence[int] = (1, 2),
 ) -> List[DifferentialOutcome]:
     """The sharded out-of-core driver is decision-identical to in-RAM
     (ROADMAP item 2 promise; :mod:`repro.sharding.pipeline`).
 
-    Per (shard count × worker count), against one in-RAM baseline:
-    pair-level mapping identity **plus** equal
-    :func:`repro.checkpoint.decision_ledger_hash` — the mappings, link
-    accounting and every round's decision ledger.  Effort diagnostics
-    (pairs scored, cache hits/misses) are exactly what sharding is
-    licensed to change — per-shard caches, pruning engines and kernels
-    do different work — so ``check_diagnostics`` stays off and the
-    full-effort :func:`repro.checkpoint.ledger_hash` is not compared.
+    Per shard count, against one in-RAM baseline: pair-level mapping
+    identity **plus** equal :func:`repro.checkpoint.decision_ledger_hash`
+    — the mappings, link accounting and every round's decision ledger.
+    Effort diagnostics (pairs scored, cache hits/misses) are exactly what
+    sharding is licensed to change — per-shard caches, pruning engines
+    and kernels do different work — so ``check_diagnostics`` stays off
+    and the full-effort :func:`repro.checkpoint.ledger_hash` is not
+    compared.
     """
     from ..checkpoint import decision_ledger_hash
 
     config = config or LinkageConfig()
-    base_config = dataclasses.replace(config, shards=0, n_workers=1)
+    base_config = dataclasses.replace(config, shards=0)
     base_result = link_datasets(old_dataset, new_dataset, base_config)
     base_hash = decision_ledger_hash(base_result)
     outcomes: List[DifferentialOutcome] = []
     for num_shards in shards:
-        for count in workers:
-            variant_config = dataclasses.replace(
-                config, shards=num_shards, n_workers=count
+        variant_config = dataclasses.replace(config, shards=num_shards)
+        variant_result = link_datasets(old_dataset, new_dataset, variant_config)
+        outcome = compare_results(
+            f"sharded-vs-unsharded(shards={num_shards})",
+            IDENTICAL,
+            base_config,
+            variant_config,
+            base_result,
+            variant_result,
+        )
+        if decision_ledger_hash(variant_result) != base_hash:
+            outcome.notes.append(
+                "decision ledger hash differs: the per-round decision "
+                "sequence diverged even though the final mappings matched"
             )
-            if count > 1:
-                variant_config = dataclasses.replace(
-                    variant_config, worker_chunk_size=64
-                )
-            variant_result = link_datasets(
-                old_dataset, new_dataset, variant_config
-            )
-            outcome = compare_results(
-                f"sharded-vs-unsharded(shards={num_shards},"
-                f"n_workers={count})",
-                IDENTICAL,
-                base_config,
-                variant_config,
-                base_result,
-                variant_result,
-            )
-            if decision_ledger_hash(variant_result) != base_hash:
-                outcome.notes.append(
-                    "decision ledger hash differs: the per-round decision "
-                    "sequence diverged even though the final mappings "
-                    "matched"
-                )
-            outcomes.append(outcome)
+        outcomes.append(outcome)
     return outcomes
 
 
@@ -925,58 +790,36 @@ def assert_equivalences(
     old_dataset: CensusDataset,
     new_dataset: CensusDataset,
     config: Optional[LinkageConfig] = None,
-    workers: Sequence[int] = (2, 4),
     include_blocking: bool = False,
     series: Optional[Sequence[CensusDataset]] = None,
 ) -> List[DifferentialOutcome]:
     """Run the declared equivalence suite; raise on any violation.
 
-    Always runs serial-vs-parallel, bounded-vs-unbounded cache,
-    filtering-on-vs-off (serial and 2 workers), vectorized-vs-python
-    scoring (serial and 2 workers), indexed-vs-brute-force group-pair
-    enumeration, incremental-vs-scratch series re-linkage
-    (cold/no-op/revise — plus append when the series has ≥ 3 snapshots —
-    serial and 2 workers, over ``series`` or, by default, the two
-    datasets as a minimal series), sharded-vs-unsharded linkage
-    (shards 1 and 4, serial and 2 workers) and service-vs-inprocess
-    query identity (HTTP surface vs direct evolution queries, cache on
-    and off).  ``include_blocking``
-    adds the quadratic cross-product comparison and the ``standard+qgram``
-    coverage check — off by default so the suite stays usable on larger
-    workloads.
+    Always runs bounded-vs-unbounded cache, filtering-on-vs-off,
+    vectorized-vs-python scoring, indexed-vs-brute-force group-pair
+    enumeration, default-vs-pre-refactor group backend,
+    incremental-vs-scratch series re-linkage (cold/no-op/revise — plus
+    append when the series has ≥ 3 snapshots — over ``series`` or, by
+    default, the two datasets as a minimal series), sharded-vs-unsharded
+    linkage (shards 1 and 4) and service-vs-inprocess query identity
+    (HTTP surface vs direct evolution queries, cache on and off).
+    ``include_blocking`` adds the quadratic cross-product comparison and
+    the ``standard+qgram`` coverage check — off by default so the suite
+    stays usable on larger workloads.
     """
-    outcomes = serial_vs_parallel(old_dataset, new_dataset, config, workers)
-    outcomes.append(cache_bounded_vs_unbounded(old_dataset, new_dataset, config))
+    snapshots = list(series) if series is not None else [old_dataset, new_dataset]
+    outcomes = [
+        cache_bounded_vs_unbounded(old_dataset, new_dataset, config),
+        filtering_on_vs_off(old_dataset, new_dataset, config),
+        vectorized_vs_python(old_dataset, new_dataset, config),
+        indexed_vs_brute_force(old_dataset, new_dataset, config),
+        backend_default_vs_protocol(old_dataset, new_dataset, config),
+    ]
+    outcomes.extend(incremental_vs_scratch(snapshots, config))
     outcomes.extend(
-        filtering_on_vs_off(old_dataset, new_dataset, config, workers=(1, 2))
+        sharded_vs_unsharded(old_dataset, new_dataset, config, shards=(1, 4))
     )
-    outcomes.extend(
-        vectorized_vs_python(old_dataset, new_dataset, config, workers=(1, 2))
-    )
-    outcomes.append(indexed_vs_brute_force(old_dataset, new_dataset, config))
-    outcomes.extend(
-        backend_default_vs_protocol(
-            old_dataset, new_dataset, config, workers=(1, 2)
-        )
-    )
-    outcomes.extend(
-        incremental_vs_scratch(
-            list(series) if series is not None else [old_dataset, new_dataset],
-            config,
-            workers=(1, 2),
-        )
-    )
-    outcomes.extend(
-        sharded_vs_unsharded(
-            old_dataset, new_dataset, config, shards=(1, 4), workers=(1, 2)
-        )
-    )
-    outcomes.extend(
-        service_vs_inprocess(
-            list(series) if series is not None else [old_dataset, new_dataset],
-            config,
-        )
-    )
+    outcomes.extend(service_vs_inprocess(snapshots, config))
     if include_blocking:
         outcomes.append(
             blocking_cross_covers_standard(old_dataset, new_dataset, config)

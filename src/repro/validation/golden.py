@@ -13,7 +13,7 @@ Canonical form rules:
   :meth:`~repro.model.mappings.RecordMapping.as_jsonable` order;
 * keys are sorted, floats rounded to :data:`FLOAT_DIGITS` digits;
 * wall-clock fields (``seconds``) are excluded — goldens must be stable
-  across machines, Python versions and worker counts.
+  across machines and Python versions.
 
 ``repro golden --record`` / ``--check`` (see :mod:`repro.cli`) and the
 tier-1 replay test (``tests/test_validation_golden.py``, refreshable via
@@ -196,7 +196,7 @@ def result_jsonable(
     """The golden-relevant, machine-independent view of a result.
 
     ``reference`` (optional ground-truth record mapping) adds evaluation
-    metrics.  Timers, worker counts and profile internals are omitted on
+    metrics.  Timers and profile internals are omitted on
     purpose: a golden must not change when only the machine does.
     """
     document: Dict[str, object] = {
@@ -239,7 +239,7 @@ def analysis_jsonable(analysis) -> Dict[str, object]:
     pattern, no effort counters — see
     :func:`repro.checkpoint.analysis_ledger`) plus its hash and the
     per-pair pattern frequency table, so series goldens are stable
-    across machines, worker counts and warm-vs-cold series state.
+    across machines and warm-vs-cold series state.
     """
     from ..checkpoint import analysis_ledger, analysis_ledger_hash
 

@@ -5,8 +5,7 @@ after any round boundary (or after the final pass, or mid-write) and
 then resumed must produce exactly the result an uninterrupted run
 produces — same mappings, same per-round ledgers, same effort and event
 counters (``repro.checkpoint.ledger_hash``).  This battery proves the
-contract at **every** kill point, serial and with 2 workers, instead of
-sampling one.
+contract at **every** kill point instead of sampling one.
 """
 
 import pytest
@@ -33,18 +32,15 @@ def datasets():
     return series.datasets
 
 
-def make_config(workers: int = 1, **overrides) -> LinkageConfig:
-    return LinkageConfig(validate=True, n_workers=workers, **overrides)
+def make_config(**overrides) -> LinkageConfig:
+    return LinkageConfig(validate=True, **overrides)
 
 
 @pytest.fixture(scope="module")
-def baselines(datasets):
-    """Uninterrupted reference runs per worker count."""
+def baseline(datasets):
+    """The uninterrupted reference run."""
     old, new = datasets
-    return {
-        workers: link_datasets(old, new, make_config(workers))
-        for workers in (1, 2)
-    }
+    return link_datasets(old, new, make_config())
 
 
 def crash_then_resume(datasets, config, tmp_path, **crash_kwargs):
@@ -59,47 +55,44 @@ def crash_then_resume(datasets, config, tmp_path, **crash_kwargs):
 
 
 class TestCrashMatrix:
-    @pytest.mark.parametrize("workers", [1, 2])
     def test_every_round_boundary_resumes_byte_identical(
-        self, datasets, baselines, tmp_path, workers
+        self, datasets, baseline, tmp_path
     ):
         """The tentpole guarantee, at every δ-round kill point."""
-        baseline = baselines[workers]
         expected = ledger_hash(baseline)
         rounds = len(baseline.iterations)
         assert rounds >= 2, "workload too small to exercise the matrix"
         for kill_after in range(1, rounds + 1):
-            directory = tmp_path / f"w{workers}-k{kill_after}"
+            directory = tmp_path / f"k{kill_after}"
             resumed = crash_then_resume(
                 datasets,
-                make_config(workers),
+                make_config(),
                 directory,
                 crash_after_round=kill_after,
             )
             assert ledger_hash(resumed) == expected, (
-                f"resume after round {kill_after} (workers={workers}) "
+                f"resume after round {kill_after} "
                 f"diverged:\n{result_ledger(resumed)}"
             )
 
-    @pytest.mark.parametrize("workers", [1, 2])
     def test_crash_after_final_checkpoint_reconstructs(
-        self, datasets, baselines, tmp_path, workers
+        self, datasets, baseline, tmp_path
     ):
         """A kill after the run-complete snapshot: resume rebuilds the
         result outright, without recomputing, and still hash-matches."""
         resumed = crash_then_resume(
             datasets,
-            make_config(workers),
+            make_config(),
             tmp_path,
             crash_after_final=True,
         )
-        assert ledger_hash(resumed) == ledger_hash(baselines[workers])
+        assert ledger_hash(resumed) == ledger_hash(baseline)
         # Reconstruction performs exactly one load and zero new writes.
         assert resumed.profile.value(CHECKPOINT_LOADS) == 1
         assert resumed.profile.value(CHECKPOINT_WRITES) == 0
 
     def test_mid_write_kill_leaves_prior_round_loadable(
-        self, datasets, baselines, tmp_path
+        self, datasets, baseline, tmp_path
     ):
         """The worst instant: payload staged, never published.  The
         previous round must remain the loadable tip — no corrupt file,
@@ -119,7 +112,7 @@ class TestCrashMatrix:
         resumed = link_datasets(
             old, new, make_config(), checkpoint_dir=tmp_path, resume=True
         )
-        assert ledger_hash(resumed) == ledger_hash(baselines[1])
+        assert ledger_hash(resumed) == ledger_hash(baseline)
 
     def test_resumed_run_loads_exactly_once(self, datasets, tmp_path):
         resumed = crash_then_resume(
@@ -162,7 +155,7 @@ class TestResumedRunsValidate:
 
 class TestCadenceAndOptions:
     def test_checkpoint_every_skips_intermediate_rounds(
-        self, datasets, baselines, tmp_path
+        self, datasets, baseline, tmp_path
     ):
         old, new = datasets
         config = make_config(checkpoint_every=2)
@@ -174,7 +167,7 @@ class TestCadenceAndOptions:
             if entry.kind == "round"
         ]
         assert round_indices, "no round checkpoints written"
-        final_round = len(baselines[1].iterations)
+        final_round = len(baseline.iterations)
         for index in round_indices:
             assert index % 2 == 0 or index == final_round, (
                 f"round {index} checkpointed despite checkpoint_every=2"
@@ -182,7 +175,7 @@ class TestCadenceAndOptions:
         assert store.entries()[-1].kind == "final"
 
     def test_resume_from_sparse_cadence_is_identical(
-        self, datasets, baselines, tmp_path
+        self, datasets, baseline, tmp_path
     ):
         """Killed between checkpoints: resume replays the uncheckpointed
         rounds and still converges byte-identically."""
@@ -197,7 +190,7 @@ class TestCadenceAndOptions:
         assert ledger_hash(resumed) == ledger_hash(baseline)
 
     def test_without_cache_export_mappings_still_identical(
-        self, datasets, baselines, tmp_path
+        self, datasets, baseline, tmp_path
     ):
         """checkpoint_cache=False trades effort-counter identity for
         smaller snapshots; the decided mappings must not change."""
@@ -205,7 +198,7 @@ class TestCadenceAndOptions:
         resumed = crash_then_resume(
             datasets, config, tmp_path, crash_after_round=2
         )
-        baseline = baselines[1]
+        baseline = baseline
         assert (
             resumed.record_mapping.as_jsonable()
             == baseline.record_mapping.as_jsonable()
@@ -216,7 +209,7 @@ class TestCadenceAndOptions:
         )
 
     def test_resume_on_empty_directory_runs_fresh(
-        self, datasets, baselines, tmp_path
+        self, datasets, baseline, tmp_path
     ):
         """resume=True with no checkpoint yet is resume-on-start: the
         run starts from scratch and checkpoints normally."""
@@ -224,7 +217,7 @@ class TestCadenceAndOptions:
         result = link_datasets(
             old, new, make_config(), checkpoint_dir=tmp_path, resume=True
         )
-        assert ledger_hash(result) == ledger_hash(baselines[1])
+        assert ledger_hash(result) == ledger_hash(baseline)
         assert (tmp_path / "final.json").exists()
 
     def test_resume_without_directory_rejected(self, datasets):

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.blocking.standard import CrossProductBlocker
-from repro.core.prematching import prematching
+from repro.core.config import LinkageConfig
+from repro.core.prematching import filter_and_score, prematching, score_pairs
 from repro.similarity.vector import build_similarity_function
 
 NAME_FUNC = build_similarity_function(
@@ -112,3 +113,52 @@ class TestPreMatchResult:
         multi = result.multi_record_clusters()
         assert all(len(members) > 1 for members in multi.values())
         assert len(multi) == 6  # clusters A-F of Fig. 3
+
+
+class TestBulkScoringHelpers:
+    """The bulk ``score_pairs`` / ``filter_and_score`` helpers: every
+    pair scored, keyed in sorted pair order, kernel and per-pair paths
+    bit-identical."""
+
+    @pytest.fixture
+    def indexes(self, census_1871, census_1881):
+        old_index = {r.record_id: r for r in census_1871.iter_records()}
+        new_index = {r.record_id: r for r in census_1881.iter_records()}
+        pairs = [
+            (old_id, new_id)
+            for old_id in reversed(list(old_index))
+            for new_id in new_index
+        ]
+        return old_index, new_index, pairs
+
+    def test_score_pairs_scores_every_pair(self, indexes):
+        old_index, new_index, pairs = indexes
+        scores = score_pairs(pairs, old_index, new_index, NAME_FUNC)
+        assert list(scores) == sorted(pairs)
+        assert all(0.0 <= score <= 1.0 for score in scores.values())
+        assert scores[("1871_1", "1881_1")] == NAME_FUNC.agg_sim(
+            old_index["1871_1"], new_index["1881_1"]
+        )
+
+    def test_kernel_paths_match_per_pair_paths(self, indexes):
+        old_index, new_index, pairs = indexes
+        config = LinkageConfig(scoring_backend="vectorized")
+        sim_func = config.build_sim_func(0.7)
+        candidate_filter = config.build_candidate_filter(sim_func)
+        kernel = config.build_scoring_kernel(
+            sim_func, list(old_index.values()), list(new_index.values()),
+            candidate_filter=candidate_filter,
+        )
+        if kernel is None:
+            pytest.skip("numpy not installed")
+        assert score_pairs(
+            pairs, old_index, new_index, sim_func, kernel=kernel
+        ) == score_pairs(pairs, old_index, new_index, sim_func)
+        batched = filter_and_score(
+            pairs, old_index, new_index, candidate_filter, 0.7, kernel=kernel
+        )
+        per_pair = filter_and_score(
+            pairs, old_index, new_index, candidate_filter, 0.7
+        )
+        assert list(batched) == sorted(pairs)
+        assert batched == per_pair

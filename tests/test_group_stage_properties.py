@@ -1,6 +1,6 @@
 """Property-based tests of the group-matching engine (§3.3–§3.4).
 
-Three contracts of the indexed parallel group stage, each exercised on
+Three contracts of the indexed group stage, each exercised on
 generated towns rather than hand-picked fixtures:
 
 * the inverted record→household index emits exactly the candidate group

@@ -12,8 +12,7 @@ store and asserts two things at once:
   and a no-op re-run re-scores zero record pairs.
 
 The matrix: append one snapshot, append many, re-run unchanged, revise
-a middle snapshot, revise then append.  One scenario repeats with two
-scoring workers to pin worker-independence of the incremental path.
+a middle snapshot, revise then append.
 """
 
 import pytest
@@ -115,20 +114,6 @@ class TestArrivalMatrix:
         assert incremental == scratch_hash(revised)
         assert profile.value(SERIES_PAIRS_REUSED) == 1
         assert profile.value(SERIES_PAIRS_RELINKED) == 2
-
-    def test_noop_with_two_workers_matches_serial(self, series, tmp_path):
-        """Worker-independence of the incremental path: a 2-worker warm
-        run and a 2-worker no-op re-run pin the same decisions as the
-        serial from-scratch analysis, and the re-run still skips all
-        scoring."""
-        config = LinkageConfig(
-            n_workers=2, worker_chunk_size=64, group_worker_chunk_size=4
-        )
-        run_warm(tmp_path, series, config=config)
-        incremental, profile = run_warm(tmp_path, series, config=config)
-        assert incremental == scratch_hash(series)
-        assert profile.value(PAIRS_RESCORED) == 0
-        assert profile.value(SERIES_PAIRS_REUSED) == 3
 
     def test_rescore_economy_on_revision(self, series, tmp_path):
         """The cache seed does real work: a warm revise arrival scores

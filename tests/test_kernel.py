@@ -13,7 +13,8 @@ claim from the bottom up:
 * ``evaluate_chunk`` equals :meth:`CandidateFilter.evaluate` bit for
   bit — value *and* pruning kind — for every filter-stage subset and δ;
 * the no-numpy fallback degrades to the reference path losslessly;
-* the kernel pickles (it is shipped to worker pools via initializer).
+* the kernel pickles: it is an immutable value, and a round-tripped copy
+  scores bit-identically.
 
 These properties gate the tentpole: if any fails, the vectorized
 backend is not a drop-in replacement and must not ship as the default.

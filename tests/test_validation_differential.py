@@ -21,7 +21,6 @@ from repro.validation.differential import (
     filtering_on_vs_off,
     indexed_vs_brute_force,
     run_differential,
-    serial_vs_parallel,
     vectorized_vs_python,
 )
 
@@ -33,19 +32,6 @@ def workload():
 
 
 class TestDeclaredEquivalences:
-    def test_serial_vs_parallel_identity(self, workload):
-        """Ports the serial-vs-parallel assertion of test_core_parallel.py
-        onto the differential runner: workers 2 and 4 must match serial
-        byte for byte, including round structure and scoring effort."""
-        old, new = workload
-        outcomes = serial_vs_parallel(old, new, workers=(2, 4))
-        assert len(outcomes) == 2
-        for outcome in outcomes:
-            assert outcome.ok, outcome.report()
-            assert outcome.relation == IDENTICAL
-            assert outcome.record_diff.is_identical
-            assert outcome.group_diff.is_identical
-
     def test_cache_bounded_vs_unbounded_identity(self, workload):
         old, new = workload
         outcome = cache_bounded_vs_unbounded(old, new, bound=64)
@@ -65,17 +51,17 @@ class TestDeclaredEquivalences:
         assert outcome.ok, outcome.report()
         assert outcome.relation == SUPERSET
 
-    def test_filtering_on_vs_off_serial_and_parallel(self, workload):
-        """The tentpole's acceptance check: pruning on produces mappings
-        byte-identical to pruning off, serially and with 2 workers."""
+    def test_filtering_on_vs_off_identity(self, workload):
+        """The pruning engine's acceptance check: pruning on produces
+        mappings byte-identical to pruning off."""
         old, new = workload
-        outcomes = filtering_on_vs_off(old, new, workers=(1, 2))
-        assert len(outcomes) == 2
-        for outcome in outcomes:
-            assert outcome.ok, outcome.report()
-            assert outcome.relation == IDENTICAL
-            assert outcome.record_diff.is_identical
-            assert outcome.group_diff.is_identical
+        outcome = filtering_on_vs_off(old, new)
+        assert outcome.ok, outcome.report()
+        assert outcome.relation == IDENTICAL
+        assert outcome.record_diff.is_identical
+        assert outcome.group_diff.is_identical
+        assert not outcome.base_config.filtering
+        assert outcome.variant_config.filtering
 
     def test_indexed_vs_brute_force_identity(self, workload):
         """The group-stage acceptance check: inverted-index candidate
@@ -88,73 +74,59 @@ class TestDeclaredEquivalences:
         assert outcome.base_config.group_pair_indexing
         assert not outcome.variant_config.group_pair_indexing
 
-    def test_vectorized_vs_python_serial_and_parallel(self, workload):
+    def test_vectorized_vs_python_identity(self, workload):
         """PR 6 acceptance check: the batch scoring kernel yields
         mappings, round structure and scoring effort byte-identical to
-        the per-pair reference backend, serially and with 2 workers."""
+        the per-pair reference backend."""
         old, new = workload
-        outcomes = vectorized_vs_python(old, new, workers=(1, 2))
-        assert len(outcomes) == 2
-        for outcome in outcomes:
-            assert outcome.ok, outcome.report()
-            assert outcome.relation == IDENTICAL
-            assert outcome.base_config.scoring_backend == "python"
-            assert outcome.variant_config.scoring_backend == "vectorized"
-            assert not outcome.notes  # diagnostics (effort) matched too
+        outcome = vectorized_vs_python(old, new)
+        assert outcome.ok, outcome.report()
+        assert outcome.relation == IDENTICAL
+        assert outcome.base_config.scoring_backend == "python"
+        assert outcome.variant_config.scoring_backend == "vectorized"
+        assert not outcome.notes  # diagnostics (effort) matched too
 
-    def test_backend_default_vs_protocol_serial_and_parallel(self, workload):
+    def test_backend_default_vs_protocol(self, workload):
         """PR 7 acceptance check: the group stage routed through the
         GroupMatcherBackend protocol is byte-identical — mappings, round
         structure and scoring effort — to the frozen pre-refactor
-        engine, serially and with 2 workers."""
+        engine."""
         old, new = workload
-        outcomes = backend_default_vs_protocol(old, new, workers=(1, 2))
-        assert len(outcomes) == 2
-        for outcome in outcomes:
-            assert outcome.ok, outcome.report()
-            assert outcome.relation == IDENTICAL
-            assert outcome.base_config.group_backend == "default"
-            assert (
-                outcome.variant_config.group_backend
-                == "prerefactor-reference"
-            )
-            assert not outcome.notes  # diagnostics (effort) matched too
+        outcome = backend_default_vs_protocol(old, new)
+        assert outcome.ok, outcome.report()
+        assert outcome.relation == IDENTICAL
+        assert outcome.base_config.group_backend == "default"
+        assert outcome.variant_config.group_backend == "prerefactor-reference"
+        assert not outcome.notes  # diagnostics (effort) matched too
 
     def test_assert_equivalences_passes(self, workload):
         old, new = workload
-        outcomes = assert_equivalences(old, new, workers=(2,))
+        outcomes = assert_equivalences(old, new)
         assert all(outcome.ok for outcome in outcomes)
-        # one worker variant + the cache check + two filtering variants
-        # + two scoring-backend variants + the indexed-vs-brute-force
-        # group-pair check + two backend-protocol variants + six
-        # incremental-series variants (cold/no-op/revise × workers 1, 2;
-        # no append: the default 2-snapshot series has no prefix) + four
-        # sharded-vs-unsharded variants (shards 1, 4 × workers 1, 2)
-        # + two service-vs-inprocess variants (cache on, cache off)
-        assert len(outcomes) == 21
+        # the cache check + filtering + scoring backend + the
+        # indexed-vs-brute-force group-pair check + backend protocol
+        # + three incremental-series variants (cold/no-op/revise; no
+        # append: the default 2-snapshot series has no prefix) + two
+        # sharded-vs-unsharded variants (shards 1, 4) + two
+        # service-vs-inprocess variants (cache on, cache off)
+        assert len(outcomes) == 12
 
     def test_incremental_vs_scratch_arrival_sequences(self, workload):
         """The tentpole's headline proof: incremental re-linkage over a
         3-snapshot series is decision-identical to from-scratch for the
         cold start, the no-op re-run (with zero pairs re-scored), the
-        append arrival and the revised-middle-snapshot arrival — serial
-        and with 2 workers."""
+        append arrival and the revised-middle-snapshot arrival."""
         from repro.datagen import GeneratorConfig, generate_series
         from repro.validation.differential import incremental_vs_scratch
 
         series = generate_series(
             GeneratorConfig(seed=7, num_snapshots=3, initial_households=18)
         )
-        outcomes = incremental_vs_scratch(series.datasets, workers=(1, 2))
-        # (cold + no-op + append + revise) × workers (1, 2)
-        assert len(outcomes) == 8
-        names = {outcome.name for outcome in outcomes}
-        for scenario in ("cold", "no-op", "append", "revise"):
-            for count in (1, 2):
-                assert (
-                    f"incremental-vs-scratch({scenario},n_workers={count})"
-                    in names
-                )
+        outcomes = incremental_vs_scratch(series.datasets)
+        assert [outcome.name for outcome in outcomes] == [
+            f"incremental-vs-scratch({scenario})"
+            for scenario in ("cold", "no-op", "append", "revise")
+        ]
         for outcome in outcomes:
             assert outcome.ok, outcome.report()
 
